@@ -9,7 +9,9 @@
 //    testable (paper-faithful mode re-evaluates over D−Δ, growing with
 //    |D|); the ancestor-path extension (ablation) restores ~O(depth) cost;
 //  - required-class (Cr) deletion checks are O(|Δ|) thanks to the class
-//    count index.
+//    count index;
+//  - with a key attribute and snapshots on, the insertion check stays
+//    flat: key values are probed in the writer's value postings.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
@@ -86,6 +88,38 @@ void BM_InsertCheck_DeltaDrivenAblation(benchmark::State& state) {
 }
 
 BENCHMARK(BM_InsertCheck_DeltaDrivenAblation)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(16000)
+    ->Arg(64000);
+
+// The serving configuration with the §6.1 key `uid`: Δ-driven structure
+// checks and snapshots on, so the key check probes the writer's value
+// postings — one hash probe per Δ key value. Per-add time is flat in |D|
+// (without postings the key check scans all of D).
+void BM_InsertCheck_Keyed(benchmark::State& state) {
+  World world = MakeInsertWorld(static_cast<size_t>(state.range(0)));
+  world.schema->AddKeyAttribute(*world.vocab->FindAttribute("uid"));
+  world.directory->EnableSnapshots();
+  auto [root, delta] = InsertProbeSubtree(*world.directory);
+  world.directory->GetIndex();
+  IncrementalValidator::Options vopts;
+  vopts.delta_driven_insert = true;
+  IncrementalValidator validator(*world.schema, vopts);
+  if (!validator.CheckAfterInsert(*world.directory, delta)) {
+    state.SkipWithError("probe subtree is not legal");
+    return;
+  }
+  for (auto _ : state) {
+    bool ok = validator.CheckAfterInsert(*world.directory, delta);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["entries"] =
+      static_cast<double>(world.directory->NumEntries());
+  state.counters["delta"] = static_cast<double>(delta.Count());
+}
+
+BENCHMARK(BM_InsertCheck_Keyed)
     ->Arg(1000)
     ->Arg(4000)
     ->Arg(16000)

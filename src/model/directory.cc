@@ -425,6 +425,14 @@ void Directory::TrackValue(EntryId id, AttributeId attr, const Value& value,
   }
 }
 
+const std::vector<EntryId>* Directory::ValuePosting(AttributeId attr,
+                                                    const Value& value) const {
+  if (!snapshots_enabled_) return nullptr;
+  const std::shared_ptr<std::vector<EntryId>>* p =
+      by_value_.Find(SnapshotValueKey{attr, value});
+  return p == nullptr ? nullptr : p->get();
+}
+
 namespace {
 
 // Mirrors of the server/wire.h little-endian appenders, duplicated here

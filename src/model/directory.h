@@ -190,6 +190,16 @@ class Directory {
   /// The publication point, for metrics; nullptr when disabled.
   const SnapshotStore* snapshot_store() const { return store_.get(); }
 
+  /// Writer-side (attr, value) posting: the alive entries carrying the
+  /// pair, ascending — the posting the next publish freezes, so it
+  /// already reflects mutations not yet published. nullptr when no alive
+  /// entry carries the pair, or when snapshots are disabled (no postings
+  /// are kept; test snapshots_enabled() to tell the two apart). One hash
+  /// probe per overlay level. Single-writer: call under the mutators'
+  /// exclusion.
+  const std::vector<EntryId>* ValuePosting(AttributeId attr,
+                                           const Value& value) const;
+
  private:
   Status CheckAlive(EntryId id) const;
   void BumpClassCount(ClassId c, int delta);

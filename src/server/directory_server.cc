@@ -513,23 +513,20 @@ Status DirectoryServer::Modify(const DistinguishedName& dn,
     }
   }
 
-  // Re-check. Value-only modifies need the entry's content plus key
-  // uniqueness; class changes run the reclassification validator, which
-  // covers the entry's content and exactly the entries whose structural
-  // requirements can be affected.
-  LegalityChecker checker(*schema_, check_options_);
+  // Re-check. The reclassification validator covers the entry's content
+  // and exactly the entries whose structural requirements its class
+  // changes can affect (none for a value-only modify). Keys take the
+  // insertion's Δ check with Δ = the modified entry: only its values can
+  // have become duplicates.
+  IncrementalValidator::Options validator_options;
+  validator_options.check = check_options_;
+  IncrementalValidator validator(*schema_, validator_options);
   std::vector<Violation> violations;
-  bool ok;
-  if (added_classes.empty() && removed_classes.empty()) {
-    ok = checker.CheckEntryContent(*directory_, id, &violations);
-  } else {
-    IncrementalValidator::Options validator_options;
-    validator_options.check = check_options_;
-    IncrementalValidator validator(*schema_, validator_options);
-    ok = validator.CheckAfterReclassify(*directory_, id, added_classes,
-                                        removed_classes, &violations);
-  }
-  ok = checker.CheckKeys(*directory_, &violations) && ok;
+  bool ok = validator.CheckAfterReclassify(*directory_, id, added_classes,
+                                           removed_classes, &violations);
+  EntrySet modified(directory_->IdCapacity());
+  modified.Insert(id);
+  ok = validator.CheckDeltaKeys(*directory_, modified, &violations) && ok;
   if (!ok) {
     rollback();
     ++stats_->rejected;

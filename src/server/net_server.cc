@@ -539,12 +539,13 @@ void NetServer::HandleAccept(Reactor& r) {
         active_conns_.load(std::memory_order_relaxed) >=
             options_.max_connections) {
       // Shed at the door: a retryable frame, then close. Best-effort —
-      // the client may already be gone, which is fine.
+      // the client may already be gone, which is fine. Count first: a
+      // client that sees the frame or EOF must also see the counter.
+      r.counters->shed_conns.fetch_add(1, std::memory_order_relaxed);
+      r.counters->m_shed_conns.Increment();
       (void)!::send(fd, r.shed_frame.data(), r.shed_frame.size(),
                     MSG_NOSIGNAL | MSG_DONTWAIT);
       ::close(fd);
-      r.counters->shed_conns.fetch_add(1, std::memory_order_relaxed);
-      r.counters->m_shed_conns.Increment();
       continue;
     }
     int one = 1;

@@ -1,5 +1,6 @@
 #include "update/incremental.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -55,23 +56,27 @@ bool IncrementalValidator::CheckAfterInsert(const Directory& directory,
     ok = false;
     if (out == nullptr) return false;
   }
-  if (!CheckKeysAfterInsert(directory, delta, out)) {
+  if (!CheckDeltaKeys(directory, delta, out)) {
     ok = false;
     if (out == nullptr) return false;
   }
   return ok;
 }
 
-bool IncrementalValidator::CheckKeysAfterInsert(
-    const Directory& directory, const EntrySet& delta,
-    std::vector<Violation>* out) const {
+bool IncrementalValidator::CheckDeltaKeys(const Directory& directory,
+                                          const EntrySet& delta,
+                                          std::vector<Violation>* out) const {
   const std::vector<AttributeId>& keys = schema_.key_attributes();
   if (keys.empty()) return true;
   bool ok = true;
 
-  // Since D satisfied the keys, every new duplicate involves a Δ value:
-  // collect Δ's key values (flagging duplicates within Δ), then one scan
-  // of the old entries — O(|Δ| + |D|) per key attribute.
+  // D outside Δ satisfied the keys, so every new duplicate involves a Δ
+  // value: collect Δ's key values (flagging duplicates within Δ), then
+  // find the old entries holding any of them. Each is a duplicate. With
+  // snapshots on, the writer's value postings answer that with one probe
+  // per Δ key value — O(|Δ|) per key attribute, independent of |D|.
+  // Without postings it takes one scan of the old entries.
+  std::vector<EntryId> holders;
   for (AttributeId attr : keys) {
     std::unordered_map<Value, EntryId, ValueHash> fresh;
     bool stop = false;
@@ -95,26 +100,46 @@ bool IncrementalValidator::CheckKeysAfterInsert(
     });
     if (stop) return false;
     if (fresh.empty()) continue;
-    bool done = false;
-    directory.ForEachAlive([&](const Entry& e) {
-      if (done || delta.Contains(e.id())) return;
-      for (const Value& v : e.GetValues(attr)) {
-        auto it = fresh.find(v);
-        if (it != fresh.end()) {
-          Violation violation;
-          violation.kind = ViolationKind::kDuplicateKeyValue;
-          violation.entry = it->second;
-          violation.attr = attr;
-          ok = false;
-          if (out == nullptr) {
-            done = true;
-            return;
-          }
-          out->push_back(violation);
+
+    // Old holders in ascending id order — the order a scan of D meets
+    // them, which keeps the violation list identical on both paths.
+    holders.clear();
+    if (directory.snapshots_enabled()) {
+      for (const auto& [value, delta_holder] : fresh) {
+        const std::vector<EntryId>* posting =
+            directory.ValuePosting(attr, value);
+        if (posting == nullptr) continue;
+        for (EntryId holder : *posting) {
+          if (!delta.Contains(holder)) holders.push_back(holder);
         }
       }
-    });
-    if (done) return false;
+      std::sort(holders.begin(), holders.end());
+      holders.erase(std::unique(holders.begin(), holders.end()),
+                    holders.end());
+    } else {
+      directory.ForEachAlive([&](const Entry& e) {
+        if (delta.Contains(e.id())) return;
+        for (const Value& v : e.GetValues(attr)) {
+          if (fresh.count(v) != 0) {
+            holders.push_back(e.id());
+            return;
+          }
+        }
+      });
+    }
+    for (EntryId holder : holders) {
+      for (const Value& v : directory.entry(holder).GetValues(attr)) {
+        auto it = fresh.find(v);
+        if (it == fresh.end()) continue;
+        ok = false;
+        if (out == nullptr) return false;
+        Violation violation;
+        violation.kind = ViolationKind::kDuplicateKeyValue;
+        violation.entry = it->second;
+        violation.attr = attr;
+        out->push_back(violation);
+      }
+    }
   }
   return ok;
 }

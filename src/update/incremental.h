@@ -21,7 +21,9 @@ namespace ldapbound {
 ///     targets may be old (full scope) — exactly Figure 5's scoping;
 ///   - forbidden relationships: every new (upper, lower) pair has its lower
 ///     entry in Δ, so the target side is Δ-scoped;
-///   - required classes Cr: insertion cannot violate (no check).
+///   - required classes Cr: insertion cannot violate (no check);
+///   - keys (§6.1 extension): only Δ key values can collide — see
+///     CheckDeltaKeys.
 ///
 /// For deletion (directory still holds D, `delta` marks the doomed subtree;
 /// the check runs BEFORE applying the deletion):
@@ -65,6 +67,18 @@ class IncrementalValidator {
   /// Whether D+Δ stays legal; `directory` must already hold D+Δ.
   bool CheckAfterInsert(const Directory& directory, const EntrySet& delta,
                         std::vector<Violation>* out = nullptr) const;
+
+  /// Key uniqueness (§6.1) after the entries in `delta` gained their key
+  /// values — by insertion, or by a modify (Δ = the modified entry).
+  /// Precondition: the entries outside Δ were key-legal among themselves.
+  /// Reports a kDuplicateKeyValue for each duplicate within Δ (on the
+  /// later Δ entry), then for each Δ key value an old entry holds (on Δ's
+  /// first holder of it), old holders in ascending id order. With
+  /// snapshots enabled the old holders come from Directory::ValuePosting,
+  /// one probe per Δ key value (O(|Δ|)); without them, from one O(|D|)
+  /// scan. Both give the same list.
+  bool CheckDeltaKeys(const Directory& directory, const EntrySet& delta,
+                      std::vector<Violation>* out = nullptr) const;
 
   /// Whether D−Δ would be legal; `directory` must still hold D (with Δ
   /// alive). `delta_root` is the root of the doomed subtree; `delta` its
@@ -143,8 +157,6 @@ class IncrementalValidator {
   bool CheckStructureAfterInsertDeltaDriven(const Directory& directory,
                                             const EntrySet& delta,
                                             std::vector<Violation>* out) const;
-  bool CheckKeysAfterInsert(const Directory& directory, const EntrySet& delta,
-                            std::vector<Violation>* out) const;
   bool CheckStructureBeforeDelete(const Directory& directory,
                                   const std::vector<EntryId>& delta_roots,
                                   const EntrySet& delta,

@@ -238,6 +238,121 @@ TEST_F(DirectoryServerTest, StatsAreASnapshot) {
   EXPECT_EQ(after.adds, 1u);
 }
 
+// Key checks with MVCC on answer from the writer's value postings. These
+// pin the posting upkeep the check relies on: rollbacks, deletes and
+// modifies must leave exactly the surviving holders in each posting.
+
+EntryId IdOf(const DirectoryServer& server, const std::string& dn) {
+  return *ResolveDn(server.directory(), Dn(dn));
+}
+
+std::vector<EntryId> PinnedHolders(const DirectoryServer& server,
+                                   const std::string& uid) {
+  PinnedSnapshot snap = server.PinSnapshot();
+  AttributeId attr = *server.vocab().FindAttribute("uid");
+  const std::vector<EntryId>* posting = snap->ValuePosting(attr, Value(uid));
+  return posting == nullptr ? std::vector<EntryId>() : *posting;
+}
+
+DirectoryServer::Modification ValueMod(const DirectoryServer& server,
+                                       DirectoryServer::Modification::Kind kind,
+                                       const std::string& uid) {
+  DirectoryServer::Modification mod;
+  mod.kind = kind;
+  mod.attr = *server.vocab().FindAttribute("uid");
+  mod.value = Value(uid);
+  return mod;
+}
+
+TEST_F(DirectoryServerTest, ModifyKeyCheckWithMvcc) {
+  using Kind = DirectoryServer::Modification::Kind;
+  server_.EnableMvcc();
+  ASSERT_TRUE(server_.Add(Dn("uid=bob,ou=research"), PersonSpec("bob")).ok());
+
+  // Replacing bob's uid with ada's duplicates a key: refused, rolled back.
+  Status status = server_.Modify(
+      Dn("uid=bob,ou=research"),
+      {ValueMod(server_, Kind::kRemoveValue, "bob"),
+       ValueMod(server_, Kind::kAddValue, "ada")});
+  EXPECT_EQ(status.code(), StatusCode::kIllegal) << status.ToString();
+  EXPECT_NE(status.message().find("duplicate value for key attribute 'uid'"),
+            std::string::npos);
+  EXPECT_TRUE(server_.IsLegal());
+  EXPECT_EQ(PinnedHolders(server_, "ada"),
+            std::vector<EntryId>{IdOf(server_, "uid=ada,ou=research")});
+  EXPECT_EQ(PinnedHolders(server_, "bob"),
+            std::vector<EntryId>{IdOf(server_, "uid=bob,ou=research")});
+
+  // A fresh uid is accepted, and frees the old one for reuse.
+  ASSERT_TRUE(server_
+                  .Modify(Dn("uid=bob,ou=research"),
+                          {ValueMod(server_, Kind::kRemoveValue, "bob"),
+                           ValueMod(server_, Kind::kAddValue, "robert")})
+                  .ok());
+  EXPECT_TRUE(
+      server_
+          .Modify(Dn("uid=ada,ou=research"),
+                  {ValueMod(server_, Kind::kAddValue, "bob")})
+          .ok());
+  EXPECT_EQ(PinnedHolders(server_, "bob"),
+            std::vector<EntryId>{IdOf(server_, "uid=ada,ou=research")});
+  EXPECT_EQ(server_
+                .Modify(Dn("uid=ada,ou=research"),
+                        {ValueMod(server_, Kind::kAddValue, "robert")})
+                .code(),
+            StatusCode::kIllegal);
+  EXPECT_TRUE(server_.IsLegal());
+  EXPECT_EQ(server_.stats().modifies, 2u);
+}
+
+TEST_F(DirectoryServerTest, KeyPostingsSurviveRollbackAndDelete) {
+  server_.EnableMvcc();
+  ASSERT_TRUE(server_.Add(Dn("uid=x,ou=research"), PersonSpec("x")).ok());
+  const EntryId first = IdOf(server_, "uid=x,ou=research");
+
+  // A second holder of uid x is refused; its rollback leaves the posting.
+  EXPECT_EQ(server_.Add(Dn("uid=x2,ou=research"), PersonSpec("x")).code(),
+            StatusCode::kIllegal);
+  EXPECT_FALSE(ResolveDn(server_.directory(), Dn("uid=x2,ou=research")).ok());
+  EXPECT_EQ(PinnedHolders(server_, "x"), std::vector<EntryId>{first});
+
+  // Deleting the holder frees the value: a new holder is accepted, and a
+  // further duplicate is still refused.
+  ASSERT_TRUE(server_.Delete(Dn("uid=x,ou=research")).ok());
+  EXPECT_TRUE(PinnedHolders(server_, "x").empty());
+  ASSERT_TRUE(server_.Add(Dn("uid=x3,ou=research"), PersonSpec("x")).ok());
+  EXPECT_EQ(server_.Add(Dn("uid=x4,ou=research"), PersonSpec("x")).code(),
+            StatusCode::kIllegal);
+  EXPECT_EQ(PinnedHolders(server_, "x"),
+            std::vector<EntryId>{IdOf(server_, "uid=x3,ou=research")});
+  EXPECT_TRUE(server_.IsLegal());
+}
+
+TEST_F(DirectoryServerTest, DeleteAndReAddKeyInOneTxnSameVerdict) {
+  // Theorem 4.1 order: the add is checked before the delete applies, so
+  // the old holder still counts. The verdict must not depend on whether
+  // the key check probes postings or scans D.
+  auto verdict = [](bool mvcc) {
+    DirectoryServer server = DirectoryServer::Create(kSchema).value();
+    UpdateTransaction seed;
+    seed.Insert(Dn("ou=research"), TeamSpec("research"));
+    seed.Insert(Dn("uid=ada,ou=research"), PersonSpec("ada"));
+    seed.Insert(Dn("uid=a,ou=research"), PersonSpec("x"));
+    EXPECT_TRUE(server.Apply(seed).ok());
+    if (mvcc) server.EnableMvcc();
+    UpdateTransaction txn;
+    txn.Delete(Dn("uid=a,ou=research"));
+    txn.Insert(Dn("uid=b,ou=research"), PersonSpec("x"));
+    Status status = server.Apply(txn);
+    EXPECT_TRUE(server.IsLegal());
+    return std::make_pair(status.code(), status.message());
+  };
+  auto with_postings = verdict(true);
+  auto with_scan = verdict(false);
+  EXPECT_EQ(with_postings.first, StatusCode::kIllegal);
+  EXPECT_EQ(with_postings, with_scan);
+}
+
 TEST_F(DirectoryServerTest, ConcurrentSearchesWhileStatsMutate) {
   // The documented concurrency contract: const Searches may run
   // concurrently with each other and with the stats they bump. Hammer
