@@ -563,11 +563,6 @@ bool LegalityChecker::CheckStructure(const Directory& directory,
   const unsigned threads = EffectiveThreads(rels.size());
   std::mutex stats_mu;
 
-  // The worker-thread evaluators read the dense preorder views, whose
-  // materialization is single-writer: make the cache fresh before the
-  // fan-out so every worker sees pure reads.
-  directory.GetIndex().MaterializeDenseNow();
-
   // Phase 1: the (objectClass=c) selection of every distinct class.
   std::unordered_map<ClassId, EntrySet> class_cache;
   class_cache.reserve(classes.size());

@@ -90,7 +90,7 @@ Result<Federation> Federation::Split(
   federation.glue_ = std::make_unique<Directory>(federation.vocab_);
   std::unordered_map<EntryId, EntryId> mapped;  // source id -> glue id
   std::unordered_set<EntryId> skipped_subtrees;
-  for (EntryId id : index.preorder()) {
+  for (EntryId id : source.PreorderEntries()) {
     const Entry& e = source.entry(id);
     EntryId parent = e.parent();
     // Inside a carved-out subtree (but not its root)?
@@ -125,7 +125,7 @@ Result<Federation> Federation::Split(
 Result<Directory> Federation::Unify() const {
   Directory unified(vocab_);
   std::unordered_map<EntryId, EntryId> mapped;  // glue id -> unified id
-  for (EntryId id : glue_->GetIndex().preorder()) {
+  for (EntryId id : glue_->PreorderEntries()) {
     const Entry& e = glue_->entry(id);
     EntryId parent =
         e.parent() == kInvalidEntryId ? kInvalidEntryId : mapped.at(e.parent());
@@ -172,7 +172,7 @@ Result<std::vector<std::string>> Federation::Search(
   };
   auto search_context_fully = [&](const NamingContext& context) {
     const Directory& cd = *context.directory;
-    for (EntryId id : cd.GetIndex().preorder()) {
+    for (EntryId id : cd.PreorderEntries()) {
       if (matches(cd, id)) {
         out.push_back(AbsoluteDn(*DnOf(cd, id), context.mount_parent));
       }
@@ -189,7 +189,7 @@ Result<std::vector<std::string>> Federation::Search(
   };
 
   if (base.IsEmpty()) {
-    for (EntryId id : glue_->GetIndex().preorder()) {
+    for (EntryId id : glue_->PreorderEntries()) {
       if (matches(*glue_, id)) out.push_back(DnOf(*glue_, id)->ToString());
     }
     for (const NamingContext& context : contexts_) {

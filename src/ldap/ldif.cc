@@ -202,15 +202,7 @@ std::string WriteLdif(const Directory& directory) {
       out += attr + ":: " + Base64Encode(value) + "\n";
     }
   };
-  // Tree walk in preorder (roots in insertion order, children in sibling
-  // order) without touching the dense index cache: export is a const
-  // read, and a stale cache may only be materialized single-threaded.
-  std::vector<EntryId> order;
-  order.reserve(directory.NumEntries());
-  for (EntryId root : directory.roots()) {
-    for (EntryId id : directory.SubtreeEntries(root)) order.push_back(id);
-  }
-  for (EntryId id : order) {
+  for (EntryId id : directory.PreorderEntries()) {
     const Entry& e = directory.entry(id);
     auto dn = DnOf(directory, id);
     out += "dn: " + dn->ToString() + "\n";

@@ -332,6 +332,15 @@ EntryId Directory::FindChildByRdn(EntryId parent,
   return found == nullptr ? kInvalidEntryId : *found;
 }
 
+std::vector<EntryId> Directory::PreorderEntries() const {
+  std::vector<EntryId> out;
+  out.reserve(NumEntries());
+  for (EntryId root : roots_) {
+    for (EntryId id : SubtreeEntries(root)) out.push_back(id);
+  }
+  return out;
+}
+
 std::vector<EntryId> Directory::SubtreeEntries(EntryId id) const {
   std::vector<EntryId> out;
   if (!IsAlive(id)) return out;

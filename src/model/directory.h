@@ -165,6 +165,10 @@ class Directory {
   /// All alive entries of the subtree rooted at `id`, preorder.
   std::vector<EntryId> SubtreeEntries(EntryId id) const;
 
+  /// All alive entries, preorder: roots in insertion order, children in
+  /// sibling order.
+  std::vector<EntryId> PreorderEntries() const;
+
   /// Shape summary of the instance; O(|D|).
   DirectoryStats ComputeStats() const;
 

@@ -43,8 +43,9 @@ std::string SnapshotRdnKey(EntryId parent, std::string_view rdn);
 /// the unit the MVCC read path publishes and readers pin.
 ///
 /// Everything a structural legality check or a value lookup needs is
-/// reachable from here without touching the live Directory: the
-/// order-maintenance label views (hierarchy axes), the alive bitmap,
+/// reachable from here without touching the live Directory: the parent
+/// view (hierarchy axes) and order-maintenance labels (subtree scopes,
+/// paging), the alive bitmap,
 /// per-class and per-(attribute,value) postings, and the sibling-RDN
 /// index. All members are either plain values or shared COW state;
 /// copying costs a handful of refcounts, and holding a snapshot keeps

@@ -48,18 +48,6 @@ class EntrySet {
     return n;
   }
 
-  /// min(Count(), k): stops counting as soon as `k` members are seen, so
-  /// threshold tests ("is this set bigger than |D|/8?") cost O(k/64 + 1)
-  /// words on dense sets instead of a full popcount pass.
-  size_t CountUpTo(size_t k) const {
-    size_t n = 0;
-    for (uint64_t w : words_) {
-      n += static_cast<size_t>(__builtin_popcountll(w));
-      if (n >= k) return k;
-    }
-    return n;
-  }
-
   bool Empty() const {
     for (uint64_t w : words_) {
       if (w != 0) return false;
@@ -124,25 +112,6 @@ class EntrySet {
       if (w & ~o) return false;
     }
     return true;
-  }
-
-  /// True iff some member lies in [lo, hi). Masks the boundary words and
-  /// exits at the first non-zero word; preorder-interval emptiness tests
-  /// use this against subtree ranges.
-  bool AnyInRange(size_t lo, size_t hi) const {
-    if (hi > capacity_) hi = capacity_;
-    if (lo >= hi) return false;
-    const size_t first = lo >> 6;
-    const size_t last = (hi - 1) >> 6;
-    const uint64_t first_mask = ~uint64_t{0} << (lo & 63);
-    const uint64_t last_mask =
-        ~uint64_t{0} >> (63 - ((hi - 1) & 63));
-    if (first == last) return (words_[first] & first_mask & last_mask) != 0;
-    if (words_[first] & first_mask) return true;
-    for (size_t i = first + 1; i < last; ++i) {
-      if (words_[i] != 0) return true;
-    }
-    return (words_[last] & last_mask) != 0;
   }
 
   /// Calls `fn(id)` for every id in the set in increasing order.

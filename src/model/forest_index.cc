@@ -80,38 +80,6 @@ uint64_t AllocWidth(uint64_t avail, uint64_t bare) {
 
 }  // namespace
 
-ForestIndex::ForestIndex(ForestIndex&& other) noexcept
-    : labels_(std::move(other.labels_)),
-      end_labels_(std::move(other.end_labels_)),
-      depth_(std::move(other.depth_)),
-      parents_(std::move(other.parents_)),
-      num_alive_(other.num_alive_),
-      relabels_(other.relabels_),
-      full_rebuilds_(other.full_rebuilds_),
-      pre_(std::move(other.pre_)),
-      sub_end_(std::move(other.sub_end_)),
-      preorder_(std::move(other.preorder_)) {
-  dense_valid_.store(other.dense_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-}
-
-ForestIndex& ForestIndex::operator=(ForestIndex&& other) noexcept {
-  if (this == &other) return *this;
-  labels_ = std::move(other.labels_);
-  end_labels_ = std::move(other.end_labels_);
-  depth_ = std::move(other.depth_);
-  parents_ = std::move(other.parents_);
-  num_alive_ = other.num_alive_;
-  relabels_ = other.relabels_;
-  full_rebuilds_ = other.full_rebuilds_;
-  pre_ = std::move(other.pre_);
-  sub_end_ = std::move(other.sub_end_);
-  preorder_ = std::move(other.preorder_);
-  dense_valid_.store(other.dense_valid_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  return *this;
-}
-
 void ForestIndex::EnsureCapacity(size_t id_capacity) {
   if (labels_.size() < id_capacity) {
     labels_.Resize(id_capacity, kNoLabel);
@@ -125,7 +93,6 @@ void ForestIndex::OnInsert(const Directory& d, EntryId id) {
   EnsureCapacity(d.IdCapacity());
   ++num_alive_;
   PlaceSubtree(d, id);
-  InvalidateDense();
 }
 
 void ForestIndex::OnErase(EntryId id) {
@@ -134,13 +101,11 @@ void ForestIndex::OnErase(EntryId id) {
   end_labels_.Set(id, kNoLabel);
   depth_.Set(id, 0);
   --num_alive_;
-  InvalidateDense();
 }
 
 void ForestIndex::OnMove(const Directory& d, EntryId id) {
   EnsureCapacity(d.IdCapacity());
   PlaceSubtree(d, id);
-  InvalidateDense();
 }
 
 void ForestIndex::PlaceSubtree(const Directory& d, EntryId id) {
@@ -219,7 +184,6 @@ void ForestIndex::RebuildFromScratch(const Directory& d) {
     depth_.Set(i, 0);
   }
   num_alive_ = d.NumEntries();
-  InvalidateDense();
 
   SizeMap sizes;
   uint64_t total = 0;
@@ -289,48 +253,12 @@ void ForestIndex::AssignInterval(const Directory& d, EntryId root,
   }
 }
 
-void ForestIndex::MaterializeDense() const {
-  // Single-writer by contract (see the class comment): callers that fan
-  // reads out to worker threads must call MaterializeDenseNow() first.
-  preorder_.clear();
-  preorder_.reserve(num_alive_);
-  for (size_t id = 0; id < labels_.size(); ++id) {
-    if (labels_[id] != kNoLabel) {
-      preorder_.push_back(static_cast<EntryId>(id));
-    }
-  }
-  std::sort(preorder_.begin(), preorder_.end(), [this](EntryId a, EntryId b) {
-    return labels_[a] < labels_[b];
-  });
-  pre_.assign(labels_.size(), kNotIndexed);
-  sub_end_.assign(labels_.size(), kNotIndexed);
-  // One pass with a stack of open intervals: an entry's subtree ends at
-  // the first position whose label leaves its interval.
-  std::vector<EntryId> open;
-  for (size_t pos = 0; pos < preorder_.size(); ++pos) {
-    EntryId id = preorder_[pos];
-    while (!open.empty() && end_labels_[open.back()] <= labels_[id]) {
-      sub_end_[open.back()] = pos;
-      open.pop_back();
-    }
-    pre_[id] = pos;
-    open.push_back(id);
-  }
-  while (!open.empty()) {
-    sub_end_[open.back()] = preorder_.size();
-    open.pop_back();
-  }
-  dense_valid_.store(true, std::memory_order_release);
-}
-
 bool ForestIndex::EquivalentToFresh(const Directory& d) const {
-  // A fresh DFS straight off the tree structure: the reference preorder,
-  // intervals and depths the incremental state must reproduce.
-  std::vector<EntryId> expected;
-  expected.reserve(d.NumEntries());
-  std::vector<size_t> expected_pre(d.IdCapacity(), kNotIndexed);
-  std::vector<size_t> expected_end(d.IdCapacity(), kNotIndexed);
-  std::vector<uint32_t> expected_depth(d.IdCapacity(), 0);
+  // A fresh DFS straight off the tree structure: the reference preorder
+  // and subtree extents the labels must reproduce.
+  std::vector<EntryId> preorder;
+  preorder.reserve(d.NumEntries());
+  std::vector<size_t> subtree_end(d.IdCapacity(), 0);
   struct Frame {
     EntryId id;
     bool exit;
@@ -344,35 +272,45 @@ bool ForestIndex::EquivalentToFresh(const Directory& d) const {
     Frame f = stack.back();
     stack.pop_back();
     if (f.exit) {
-      expected_end[f.id] = expected.size();
+      subtree_end[f.id] = preorder.size();
       continue;
     }
-    const Entry& e = d.entry(f.id);
-    expected_pre[f.id] = expected.size();
-    expected_depth[f.id] = (e.parent() == kInvalidEntryId)
-                               ? 0
-                               : expected_depth[e.parent()] + 1;
-    expected.push_back(f.id);
+    preorder.push_back(f.id);
     stack.push_back({f.id, true});
-    const std::vector<EntryId>& children = e.children();
+    const std::vector<EntryId>& children = d.entry(f.id).children();
     for (auto it = children.rbegin(); it != children.rend(); ++it) {
       stack.push_back({*it, false});
     }
   }
 
-  if (num_alive_ != expected.size()) return false;
-  if (preorder() != expected) return false;
-  for (EntryId id : expected) {
-    if (pre(id) != expected_pre[id]) return false;
-    if (sub_end(id) != expected_end[id]) return false;
-    if (depth(id) != expected_depth[id]) return false;
-    if (labels_[id] >= end_labels_[id]) return false;
+  if (num_alive_ != preorder.size()) return false;
+  for (EntryId id : preorder) {
+    if (id >= labels_.size() || labels_[id] == kNoLabel) return false;
+  }
+  size_t labeled = 0;
+  for (size_t id = 0; id < labels_.size(); ++id) {
+    if (labels_[id] != kNoLabel) ++labeled;
+  }
+  if (labeled != preorder.size()) return false;  // a dead entry kept labels
+
+  for (size_t pos = 0; pos < preorder.size(); ++pos) {
+    EntryId id = preorder[pos];
+    uint64_t lo = labels_[id];
+    uint64_t hi = end_labels_[id];
+    if (lo >= hi || hi > kLabelSpace) return false;
+    // Order: labels increase along the preorder.
+    if (pos > 0 && labels_[preorder[pos - 1]] >= lo) return false;
+    // Nesting: [lo, hi) holds the subtree's last entry and ends before
+    // the first entry after the subtree.
+    size_t end = subtree_end[id];
+    if (labels_[preorder[end - 1]] >= hi) return false;
+    if (end < preorder.size() && labels_[preorder[end]] < hi) return false;
+    // ... and lies inside the parent's interval (the order check already
+    // puts lo past the parent's label).
     EntryId parent = d.entry(id).parent();
-    if (parent != kInvalidEntryId &&
-        !(labels_[parent] < labels_[id] &&
-          end_labels_[id] <= end_labels_[parent])) {
-      return false;
-    }
+    if (parent != kInvalidEntryId && hi > end_labels_[parent]) return false;
+    uint32_t want_depth = parent == kInvalidEntryId ? 0 : depth_[parent] + 1;
+    if (depth_[id] != want_depth || parents_[id] != parent) return false;
   }
   return true;
 }

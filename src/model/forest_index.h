@@ -1,10 +1,8 @@
 #ifndef LDAPBOUND_MODEL_FOREST_INDEX_H_
 #define LDAPBOUND_MODEL_FOREST_INDEX_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "model/entry_set.h"
 #include "util/cow.h"
@@ -42,25 +40,12 @@ class Directory;
 ///
 /// The label/depth/parent arrays are chunked copy-on-write vectors
 /// (CowVec): FreezeViews() hands an immutable point-in-time view to the
-/// MVCC snapshot publisher in O(Δ·chunk), and SnapshotEvaluator answers
-/// all four hierarchy axes straight off those views (no dense arrays in
-/// snapshots — see query/snapshot_evaluator.h).
+/// MVCC snapshot publisher in O(Δ·chunk). The hierarchy axes read parent
+/// links (query/axes.h); subtree scopes read the labels.
 ///
-/// Concurrency contract: mutation AND dense materialization are
-/// single-writer. The dense views the legacy query evaluator consumes —
-/// preorder(), pre(), sub_end() — are a derived cache materialized
-/// lazily from the labels and invalidated by structural mutations; an
-/// accessor that finds the cache stale rebuilds it, so concurrent *const*
-/// readers must either (a) know the cache is fresh (materialized before
-/// fan-out, as core/legality_checker.cc does) or (b) stay off the dense
-/// accessors entirely (as ldap/search.cc and ldap/ldif.cc do). The old
-/// double-checked internal mutex is gone: it protected the
-/// materialization race but still let a reader observe a preorder torn
-/// against labels updated after the snapshot bump — the MVCC snapshot
-/// path is the supported way to read concurrently with writers.
+/// Concurrency contract: single writer; concurrent readers use snapshots.
 class ForestIndex {
  public:
-  static constexpr size_t kNotIndexed = ~size_t{0};
   /// Label of a dead (or never-inserted) entry.
   static constexpr uint64_t kNoLabel = ~uint64_t{0};
   /// The forest owns labels in [0, kLabelSpace).
@@ -86,40 +71,17 @@ class ForestIndex {
   ForestIndex() = default;
   ForestIndex(const ForestIndex&) = delete;
   ForestIndex& operator=(const ForestIndex&) = delete;
-  ForestIndex(ForestIndex&& other) noexcept;
-  ForestIndex& operator=(ForestIndex&& other) noexcept;
-
-  /// Preorder position of entry `id`; kNotIndexed for dead or out-of-range
-  /// ids. Materializes the dense cache if stale (single-writer only; see
-  /// class comment).
-  size_t pre(EntryId id) const {
-    EnsureDense();
-    return id < pre_.size() ? pre_[id] : kNotIndexed;
-  }
-
-  /// One past the last preorder position of `id`'s subtree. The subtree of
-  /// `id` occupies preorder positions [pre(id), sub_end(id)).
-  size_t sub_end(EntryId id) const {
-    EnsureDense();
-    return id < sub_end_.size() ? sub_end_[id] : kNotIndexed;
-  }
+  ForestIndex(ForestIndex&&) noexcept = default;
+  ForestIndex& operator=(ForestIndex&&) noexcept = default;
 
   /// Root depth 0. Maintained incrementally (never stale).
   uint32_t depth(EntryId id) const {
     return id < depth_.size() ? depth_[id] : 0;
   }
 
-  /// Alive entries in preorder (roots in insertion order, children in
-  /// sibling order). Materializes the dense cache if stale (single-writer
-  /// only; see class comment).
-  const std::vector<EntryId>& preorder() const {
-    EnsureDense();
-    return preorder_;
-  }
-
-  /// True if `anc` is a proper ancestor of `desc`. O(1) on the labels, no
-  /// dense cache needed; out-of-range and dead ids are never ancestors
-  /// (ids beyond the labeled range are ignored, like EntrySet does).
+  /// True if `anc` is a proper ancestor of `desc`. O(1) on the labels;
+  /// out-of-range and dead ids are never ancestors (ids beyond the labeled
+  /// range are ignored, like EntrySet does).
   bool IsAncestor(EntryId anc, EntryId desc) const {
     if (anc >= labels_.size() || desc >= labels_.size()) return false;
     uint64_t la = labels_[anc];
@@ -147,26 +109,22 @@ class ForestIndex {
                       parents_.Freeze(), num_alive_};
   }
 
-  /// Makes the dense cache fresh now, so subsequent pre()/sub_end()/
-  /// preorder() calls are pure reads safe from concurrent threads.
-  /// Single-writer, like any accessor that could materialize.
-  void MaterializeDenseNow() const { EnsureDense(); }
-
   /// Local relabels (redistributions below the forest root) performed so
   /// far by this instance, and full rebuilds (whole-space
   /// redistributions).
   uint64_t relabels() const { return relabels_; }
   uint64_t full_rebuilds() const { return full_rebuilds_; }
 
-  /// Equivalence check against a fresh build: the label order must induce
-  /// exactly the DFS preorder of `d`, with matching subtree intervals and
-  /// depths. O(|D| log |D|). The property tests run this after every
-  /// mutation; the maintenance code uses the same invariants to decide
-  /// when to fall back to a full rebuild.
+  /// Equivalence check against a fresh DFS of `d`: the labels must
+  /// increase along its preorder, each interval must hold exactly its
+  /// subtree, and depths and parents must match. O(|D|). The property
+  /// tests run this after every mutation; the maintenance code uses the
+  /// same invariants to decide when to fall back to a full rebuild.
   bool EquivalentToFresh(const Directory& d) const;
 
  private:
   friend class Directory;
+  friend class ForestIndexTestPeer;  // corrupts labels to test the oracle
 
   // -- Incremental maintenance (called by Directory; single-writer) --
 
@@ -200,14 +158,6 @@ class ForestIndex {
                       uint64_t width);
 
   void EnsureCapacity(size_t id_capacity);
-  void InvalidateDense() {
-    dense_valid_.store(false, std::memory_order_relaxed);
-  }
-  void EnsureDense() const {
-    if (!dense_valid_.load(std::memory_order_acquire)) MaterializeDense();
-  }
-  void MaterializeDense() const;
-
   // Label state: always fresh, maintained incrementally. By entry id.
   // CowVec so FreezeViews() shares untouched chunks with prior
   // snapshots instead of copying O(directory) per publish.
@@ -218,14 +168,6 @@ class ForestIndex {
   size_t num_alive_ = 0;
   uint64_t relabels_ = 0;
   uint64_t full_rebuilds_ = 0;
-
-  // Dense cache, derived lazily from the labels. Writer-local: stale
-  // materialization is NOT thread-safe (see class comment); the atomic
-  // flag only makes fresh/stale observable without tearing.
-  mutable std::atomic<bool> dense_valid_{true};  // empty index is valid
-  mutable std::vector<size_t> pre_;      // by entry id
-  mutable std::vector<size_t> sub_end_;  // by entry id
-  mutable std::vector<EntryId> preorder_;
 };
 
 }  // namespace ldapbound

@@ -1,8 +1,9 @@
 #include "query/evaluator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <vector>
+
+#include "query/axes.h"
 
 namespace ldapbound {
 
@@ -14,20 +15,26 @@ uint64_t CountPlanNodes(const ExplainNode& node) {
   return n;
 }
 
-/// Strategy reported when a node's body never picked one explicitly
-/// (the set-operation nodes, whose work is bitmap algebra).
+/// Strategy reported when a node's body never picked one explicitly: the
+/// set-operation nodes, whose work is bitmap algebra, and the hierarchy
+/// nodes, whose axis has one algorithm (query/axes.h).
 const char* DefaultStrategy(const Query& query) {
   switch (query.kind()) {
     case Query::Kind::kSelect:
       return "scan";
     case Query::Kind::kHier:
-      return "?";
+      return "parent-links";
     case Query::Kind::kDiff:
     case Query::Kind::kUnion:
     case Query::Kind::kIntersect:
       return "bitmap";
   }
   return "?";
+}
+
+/// The live directory's parent links, for the shared axis code.
+auto ParentOf(const Directory& d) {
+  return [dir = &d](EntryId id) { return dir->entry(id).parent(); };
 }
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
@@ -438,80 +445,11 @@ bool QueryEvaluator::HierIsEmpty(const Query& query) {
     RecordStrategy("empty-operand");
     return true;
   }
-  const ForestIndex& index = directory_.GetIndex();
-  const std::vector<EntryId>& preorder = index.preorder();
-
-  // Each axis stops at the first witness; a false verdict is by
+  // The axis stops at the first witness; a false verdict is by
   // construction a short-circuit.
-  bool empty = true;
-  switch (query.axis()) {
-    case Axis::kChild:
-      RecordStrategy("parent-map");
-      // Non-empty iff some related-member's parent is in the node set.
-      empty = related.ForEachWhile([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        return p == kInvalidEntryId || !node_set.Contains(p);
-      });
-      break;
-    case Axis::kParent:
-      RecordStrategy("parent-probe");
-      empty = node_set.ForEachWhile([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        return p == kInvalidEntryId || !related.Contains(p);
-      });
-      break;
-    case Axis::kDescendant: {
-      RecordStrategy("interval-probe");
-      // Mark the related members' preorder positions, then probe each
-      // node member's subtree interval — AnyInRange exits at the first
-      // occupied word, and the whole test stops at the first witness.
-      EntrySet positions(preorder.size());
-      related.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        positions.Insert(static_cast<EntryId>(index.pre(id)));
-      });
-      empty = node_set.ForEachWhile([&](EntryId id) {
-        ++stats_.entries_scanned;
-        return !positions.AnyInRange(index.pre(id) + 1, index.sub_end(id));
-      });
-      break;
-    }
-    case Axis::kAncestor: {
-      // Sparse path: few candidate nodes — walk their parent chains,
-      // stopping at the first member with a related ancestor.
-      const size_t threshold = preorder.size() / 8;
-      if (node_set.CountUpTo(threshold + 1) <= threshold) {
-        RecordStrategy("chain-walk");
-        empty = node_set.ForEachWhile([&](EntryId id) {
-          for (EntryId p = directory_.entry(id).parent();
-               p != kInvalidEntryId; p = directory_.entry(p).parent()) {
-            ++stats_.entries_scanned;
-            if (related.Contains(p)) return false;
-          }
-          return true;
-        });
-        break;
-      }
-      // Dense path: top-down pass (preorder visits parents first),
-      // stopping at the first witness.
-      RecordStrategy("preorder-pass");
-      std::vector<uint8_t> has_anc(directory_.IdCapacity(), 0);
-      for (EntryId id : preorder) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId) {
-          has_anc[id] = has_anc[p] || related.Contains(p);
-        }
-        if (has_anc[id] && node_set.Contains(id)) {
-          empty = false;
-          break;
-        }
-      }
-      break;
-    }
-  }
+  bool empty = AxisIsEmpty(query.axis(), node_set, related,
+                           directory_.IdCapacity(), ParentOf(directory_),
+                           stats_.entries_scanned);
   if (!empty) ++stats_.short_circuits;
   return empty;
 }
@@ -519,107 +457,9 @@ bool QueryEvaluator::HierIsEmpty(const Query& query) {
 EntrySet QueryEvaluator::EvaluateHier(const Query& query) {
   EntrySet node_set = Evaluate(query.operands()[0]);
   EntrySet related = Evaluate(query.operands()[1]);
-  const ForestIndex& index = directory_.GetIndex();
-  const std::vector<EntryId>& preorder = index.preorder();
-  EntrySet out(directory_.IdCapacity());
-
-  switch (query.axis()) {
-    case Axis::kChild: {
-      RecordStrategy("parent-map");
-      // Parents of related-members, intersected with the node set.
-      EntrySet parents(directory_.IdCapacity());
-      related.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId) parents.Insert(p);
-      });
-      parents.IntersectWith(node_set);
-      return parents;
-    }
-    case Axis::kParent: {
-      RecordStrategy("parent-probe");
-      node_set.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId && related.Contains(p)) out.Insert(id);
-      });
-      return out;
-    }
-    case Axis::kDescendant: {
-      // Sparse path: when both operand sets are small relative to |D| —
-      // the situation the Figure 5 Δ-queries create — sort the related
-      // members' preorder positions and binary-search each node's subtree
-      // interval: O((|A|+|B|)·log|B|) instead of a full preorder pass.
-      // CountUpTo caps the size probes at the threshold they compare to.
-      const size_t threshold = preorder.size() / 8;
-      size_t count_a = node_set.CountUpTo(threshold + 1);
-      size_t count_b = related.CountUpTo(threshold + 1);
-      if ((count_a + count_b) * 8 < preorder.size()) {
-        RecordStrategy("interval-search");
-        std::vector<size_t> positions;
-        positions.reserve(count_b);
-        related.ForEach([&](EntryId id) {
-          ++stats_.entries_scanned;
-          positions.push_back(index.pre(id));
-        });
-        std::sort(positions.begin(), positions.end());
-        node_set.ForEach([&](EntryId id) {
-          ++stats_.entries_scanned;
-          size_t lo = index.pre(id) + 1;  // proper descendants only
-          size_t hi = index.sub_end(id);
-          auto it = std::lower_bound(positions.begin(), positions.end(), lo);
-          if (it != positions.end() && *it < hi) out.Insert(id);
-        });
-        return out;
-      }
-      // Dense path: prefix[i] = number of related-members in preorder[0..i).
-      RecordStrategy("prefix-sum");
-      std::vector<uint32_t> prefix(preorder.size() + 1, 0);
-      for (size_t i = 0; i < preorder.size(); ++i) {
-        ++stats_.entries_scanned;
-        prefix[i + 1] =
-            prefix[i] + (related.Contains(preorder[i]) ? 1u : 0u);
-      }
-      node_set.ForEach([&](EntryId id) {
-        size_t lo = index.pre(id) + 1;  // proper descendants only
-        size_t hi = index.sub_end(id);
-        if (hi > lo && prefix[hi] > prefix[lo]) out.Insert(id);
-      });
-      return out;
-    }
-    case Axis::kAncestor: {
-      // Sparse path: few candidate nodes — walk their parent chains.
-      const size_t threshold = preorder.size() / 8;
-      size_t count_a = node_set.CountUpTo(threshold + 1);
-      if (count_a * 8 < preorder.size()) {
-        RecordStrategy("chain-walk");
-        node_set.ForEach([&](EntryId id) {
-          for (EntryId p = directory_.entry(id).parent();
-               p != kInvalidEntryId; p = directory_.entry(p).parent()) {
-            ++stats_.entries_scanned;
-            if (related.Contains(p)) {
-              out.Insert(id);
-              break;
-            }
-          }
-        });
-        return out;
-      }
-      // Dense path: top-down pass (preorder visits parents first).
-      RecordStrategy("preorder-pass");
-      std::vector<uint8_t> has_anc(directory_.IdCapacity(), 0);
-      for (EntryId id : preorder) {
-        ++stats_.entries_scanned;
-        EntryId p = directory_.entry(id).parent();
-        if (p != kInvalidEntryId) {
-          has_anc[id] = has_anc[p] || related.Contains(p);
-        }
-        if (has_anc[id] && node_set.Contains(id)) out.Insert(id);
-      }
-      return out;
-    }
-  }
-  return out;
+  return EvaluateAxis(query.axis(), node_set, related,
+                      directory_.IdCapacity(), ParentOf(directory_),
+                      stats_.entries_scanned);
 }
 
 }  // namespace ldapbound

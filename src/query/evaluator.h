@@ -53,14 +53,12 @@ void AddEvaluatorStatsToMetrics(const EvaluatorStats& stats);
 
 /// Evaluates hierarchical selection queries over a Directory.
 ///
-/// Every AST node is processed with O(|D|) work over the directory's
-/// preorder index (one pass; no pairwise joins), realizing the evaluation
-/// bound of Jagadish et al. that Section 3.2 builds on:
+/// Every AST node is processed with O(|D|) work (one pass; no pairwise
+/// joins), realizing the evaluation bound of Jagadish et al. that Section
+/// 3.2 builds on:
 ///   - atomic select: one scan applying the matcher;
-///   - child:       mark parents of B-members, intersect with A;
-///   - parent:      test each A-member's parent against B;
-///   - descendant:  prefix-sum B over the preorder, test A's subtree ranges;
-///   - ancestor:    top-down pass propagating "has B ancestor" flags;
+///   - the four hierarchy axes: the parent-link algorithms of
+///     query/axes.h, shared with SnapshotEvaluator;
 ///   - diff / union / intersect: bitmap algebra.
 ///
 /// An optional Δ-set enables the scoped predicates of Figure 5: atomic

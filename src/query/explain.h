@@ -18,8 +18,8 @@ namespace ldapbound {
 /// constraint's query did it, and what did its evaluation look like?" —
 /// the explainable-validation-report problem ShEx/SHACL systems solve for
 /// RDF shapes. An ExplainNode answers it for one AST node: what the node
-/// computed, how (index probe vs class-cache hit vs scan, sparse vs dense
-/// axis path, lazy short-circuit), how much it read and produced, and how
+/// computed, how (index probe vs class-cache hit vs scan, lazy
+/// short-circuit), how much it read and produced, and how
 /// long it took.
 ///
 /// Profiles are built by QueryEvaluator when a QueryProfile is attached
@@ -30,10 +30,10 @@ struct ExplainNode {
   std::string op;        ///< "select", "child", "parent", "descendant",
                          ///< "ancestor", "diff", "union", "intersect"
   std::string detail;    ///< matcher rendering for selects ("objectClass=x")
-  std::string strategy;  ///< how the node was answered; see kind constants
-                         ///< in explain.cc ("scan", "index", "class-cache",
-                         ///< "sparse", "dense", "delta-scan",
-                         ///< "class-count", "bitmap", "subset-test", ...)
+  std::string strategy;  ///< how the node was answered, as recorded by
+                         ///< QueryEvaluator ("scan", "index", "class-cache",
+                         ///< "delta-scan", "bitmap", "subset-test",
+                         ///< "parent-links" for every hierarchy node, ...)
   std::string scope;     ///< instance scope of a select ("all", "delta", ...)
   bool lazy = false;           ///< evaluated via IsEmpty (verdict only)
   bool short_circuit = false;  ///< concluded at a witness / empty operand

@@ -1,8 +1,8 @@
 #include "query/snapshot_evaluator.h"
 
-#include <algorithm>
 #include <vector>
 
+#include "query/axes.h"
 #include "query/matcher.h"
 
 namespace ldapbound {
@@ -13,9 +13,26 @@ EntrySet SnapshotEvaluator::Normalized(const EntrySet& set) const {
   return out;
 }
 
+EntrySet SnapshotEvaluator::AliveSet() const {
+  return snap_.alive == nullptr ? EntrySet(snap_.id_capacity)
+                                : Normalized(*snap_.alive);
+}
+
 Result<bool> SnapshotEvaluator::IsEmpty(const Query& query) {
-  LDAPBOUND_ASSIGN_OR_RETURN(EntrySet members, Evaluate(query));
-  return members.Empty();
+  if (query.kind() != Query::Kind::kHier) {
+    LDAPBOUND_ASSIGN_OR_RETURN(EntrySet members, Evaluate(query));
+    return members.Empty();
+  }
+  ++stats_.nodes_evaluated;
+  LDAPBOUND_ASSIGN_OR_RETURN(EntrySet node_set,
+                             Evaluate(query.operands()[0]));
+  LDAPBOUND_ASSIGN_OR_RETURN(EntrySet related,
+                             Evaluate(query.operands()[1]));
+  bool empty = AxisIsEmpty(query.axis(), node_set, related,
+                           snap_.id_capacity, ParentOf(),
+                           stats_.entries_scanned);
+  if (!empty) ++stats_.short_circuits;
+  return empty;
 }
 
 Result<EntrySet> SnapshotEvaluator::Evaluate(const Query& query) {
@@ -53,7 +70,7 @@ Result<EntrySet> SnapshotEvaluator::Evaluate(const Query& query) {
           out.IntersectWith(members);
         }
       }
-      if (first) out = EntrySet(snap_.id_capacity);
+      if (first) return AliveSet();  // empty intersection over subsets of D
       return out;
     }
   }
@@ -84,10 +101,7 @@ Result<EntrySet> SnapshotEvaluator::EvaluateSelect(const Query& query) {
     }
     return out;
   }
-  if (dynamic_cast<const TrueMatcher*>(matcher) != nullptr) {
-    return snap_.alive == nullptr ? EntrySet(snap_.id_capacity)
-                                  : Normalized(*snap_.alive);
-  }
+  if (dynamic_cast<const TrueMatcher*>(matcher) != nullptr) return AliveSet();
   return Status::Internal(
       "snapshot evaluator: matcher needs entry payloads (only class, "
       "attribute-equality and match-all selections are snapshot-backed)");
@@ -98,86 +112,8 @@ Result<EntrySet> SnapshotEvaluator::EvaluateHier(const Query& query) {
                              Evaluate(query.operands()[0]));
   LDAPBOUND_ASSIGN_OR_RETURN(EntrySet related,
                              Evaluate(query.operands()[1]));
-  const size_t cap = snap_.id_capacity;
-  EntrySet out(cap);
-
-  switch (query.axis()) {
-    case Axis::kChild: {
-      // Parents of related-members, intersected with the node set.
-      EntrySet parents(cap);
-      related.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = snap_.parent(id);
-        if (p != kInvalidEntryId) parents.Insert(p);
-      });
-      parents.IntersectWith(node_set);
-      return parents;
-    }
-    case Axis::kParent: {
-      node_set.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        EntryId p = snap_.parent(id);
-        if (p != kInvalidEntryId && related.Contains(p)) out.Insert(id);
-      });
-      return out;
-    }
-    case Axis::kDescendant: {
-      // Sorted related labels + one binary search per node member: a
-      // proper descendant of `a` is exactly an entry whose label lies in
-      // (label(a), end_label(a)) — no dense preorder needed.
-      std::vector<uint64_t> labels;
-      labels.reserve(related.Count());
-      related.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        uint64_t l = snap_.index.labels.Get(id, ForestIndex::kNoLabel);
-        if (l != ForestIndex::kNoLabel) labels.push_back(l);
-      });
-      std::sort(labels.begin(), labels.end());
-      node_set.ForEach([&](EntryId id) {
-        ++stats_.entries_scanned;
-        uint64_t lo = snap_.index.labels.Get(id, ForestIndex::kNoLabel);
-        uint64_t hi = snap_.index.end_labels.Get(id, ForestIndex::kNoLabel);
-        if (lo == ForestIndex::kNoLabel) return;
-        auto it = std::upper_bound(labels.begin(), labels.end(), lo);
-        if (it != labels.end() && *it < hi) out.Insert(id);
-      });
-      return out;
-    }
-    case Axis::kAncestor: {
-      // Memoized parent-chain walk: m(x) = x in related OR m(parent(x)),
-      // shared across all node members so the total work is O(cap).
-      std::vector<uint8_t> memo(cap, 0);  // 0 unknown / 1 yes / 2 no
-      std::vector<EntryId> path;
-      auto anc_or_self_in_related = [&](EntryId start) {
-        path.clear();
-        uint8_t verdict = 2;
-        for (EntryId x = start; x != kInvalidEntryId; x = snap_.parent(x)) {
-          if (x >= cap) break;
-          ++stats_.entries_scanned;
-          if (memo[x] != 0) {
-            verdict = memo[x];
-            break;
-          }
-          if (related.Contains(x)) {
-            memo[x] = 1;
-            verdict = 1;
-            break;
-          }
-          path.push_back(x);
-        }
-        for (EntryId x : path) memo[x] = verdict;
-        return verdict == 1;
-      };
-      node_set.ForEach([&](EntryId id) {
-        EntryId p = snap_.parent(id);
-        if (p != kInvalidEntryId && anc_or_self_in_related(p)) {
-          out.Insert(id);
-        }
-      });
-      return out;
-    }
-  }
-  return Status::Internal("snapshot evaluator: unknown axis");
+  return EvaluateAxis(query.axis(), node_set, related, snap_.id_capacity,
+                      ParentOf(), stats_.entries_scanned);
 }
 
 }  // namespace ldapbound

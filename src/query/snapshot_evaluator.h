@@ -12,11 +12,10 @@ namespace ldapbound {
 /// Query evaluation against a pinned MVCC snapshot — the lock-free read
 /// path. Answers the paper's Figure 4 structural queries (class
 /// selections, the four hierarchy axes, set algebra) from snapshot state
-/// alone: class/value postings for selections, the order-maintenance
-/// label views for descendant tests, the parent view for child/parent/
-/// ancestor. It never touches the live Directory, its Entry objects, or
-/// the dense preorder cache, so any number of evaluators may run
-/// concurrently with the single writer.
+/// alone: class/value postings for selections, the frozen parent view for
+/// the axes (query/axes.h, the same code QueryEvaluator runs). It never
+/// touches the live Directory or its Entry objects, so any number of
+/// evaluators may run concurrently with the single writer.
 ///
 /// Unlike QueryEvaluator this evaluator is partial: matchers that need
 /// entry payloads (presence, negation, conjunction) and the Δ-relative
@@ -36,7 +35,8 @@ class SnapshotEvaluator {
   /// capacity == snapshot.id_capacity.
   Result<EntrySet> Evaluate(const Query& query);
 
-  /// Emptiness of `query` (no lazy short-circuit: evaluates fully).
+  /// Emptiness of `query`. A top-level hierarchy node stops at its first
+  /// witness; other nodes evaluate fully.
   Result<bool> IsEmpty(const Query& query);
 
   const EvaluatorStats& stats() const { return stats_; }
@@ -49,6 +49,12 @@ class SnapshotEvaluator {
   /// at power-of-two capacities, and word-wise set algebra needs equal
   /// word counts.
   EntrySet Normalized(const EntrySet& set) const;
+  /// Every alive entry at the snapshot's version.
+  EntrySet AliveSet() const;
+  /// The snapshot's frozen parent links, for the shared axis code.
+  auto ParentOf() const {
+    return [snap = &snap_](EntryId id) { return snap->parent(id); };
+  }
 
   const DirectorySnapshot& snap_;
   EvaluatorStats stats_;

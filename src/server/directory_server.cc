@@ -16,6 +16,7 @@
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 #include "util/trace.h"
 
 namespace ldapbound {
@@ -187,6 +188,34 @@ std::string ExplainViolations(const std::vector<Violation>& violations,
   return out;
 }
 
+/// Refuses inserts that name a class or attribute the vocabulary does not
+/// know, before anything is mutated. Serving resolves names without
+/// interning them: the Vocabulary is shared with lock-free snapshot
+/// readers, and a refused add would leave its names interned for good.
+/// Such an add is illegal anyway (an unknown class, or an attribute no
+/// class allows).
+Status CheckNamesKnown(const UpdateTransaction& txn, const Vocabulary& vocab) {
+  std::vector<std::string> unknown;
+  auto check_class = [&](const std::string& name) {
+    if (!vocab.FindClass(name).ok()) unknown.push_back("class '" + name + "'");
+  };
+  for (const UpdateOp& op : txn.ops()) {
+    if (op.kind != UpdateOp::Kind::kInsert) continue;
+    for (const std::string& cls : op.spec.classes) check_class(cls);
+    for (const auto& [attr, text] : op.spec.values) {
+      Result<AttributeId> id = vocab.FindAttribute(attr);
+      if (!id.ok()) {
+        unknown.push_back("attribute '" + attr + "'");
+      } else if (*id == vocab.objectclass_attr()) {
+        check_class(text);
+      }
+    }
+  }
+  if (unknown.empty()) return Status::OK();
+  return Status::Illegal("names unknown to the schema: " +
+                         Join(unknown, ", "));
+}
+
 }  // namespace
 
 DirectoryServer::DirectoryServer(std::shared_ptr<Vocabulary> vocab,
@@ -352,6 +381,12 @@ Status DirectoryServer::Apply(const UpdateTransaction& txn,
   std::unique_lock<std::mutex> lock(*write_mu_);
   LDAPBOUND_RETURN_IF_ERROR(CheckWritable());
   LDAPBOUND_RETURN_IF_ERROR(CheckQueuedDeadline(admission_.get(), deadline));
+  if (Status names = CheckNamesKnown(txn, *vocab_); !names.ok()) {
+    ++stats_->rejected;
+    op.rejected.Increment();
+    tracker.Rejected(names.message());
+    return names;
+  }
   IncrementalValidator::Options validator_options;
   validator_options.check = check_options_;
   // The serving path wants commit cost O(|Δ|), not O(|D|): walk the delta

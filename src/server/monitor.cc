@@ -279,6 +279,13 @@ std::string MonitorServer::RenderStatusz() const {
   const DirectoryServer& s = *server_;
   const StructureSchema& structure = s.schema().structure();
   DirectoryServer::Stats stats = s.stats();
+  const SnapshotStore* store = s.directory().snapshot_store();
+  // Sampled before this scrape pins its own snapshot below.
+  const size_t live_readers =
+      store != nullptr ? store->epochs().live_readers() : 0;
+  // With MVCC the entry count comes from a pinned snapshot: the live
+  // directory is the writers' (DirectoryServer's concurrency contract).
+  PinnedSnapshot snap = s.PinSnapshot();
 
   std::string out = "{\"schema\":{";
   AppendU64Field(out, "classes", s.vocab().num_classes(), /*first=*/true);
@@ -289,7 +296,8 @@ std::string MonitorServer::RenderStatusz() const {
   AppendU64Field(out, "key_attributes",
                  s.schema().key_attributes().size());
   out += "}";
-  AppendU64Field(out, "entries", s.directory().NumEntries());
+  AppendU64Field(out, "entries",
+                 snap ? snap->num_alive : s.directory().NumEntries());
 
   out += ",\"health\":{\"state\":";
   out += JsonQuote(std::string(HealthStateName(s.health_state())));
@@ -358,11 +366,11 @@ std::string MonitorServer::RenderStatusz() const {
 
   out += ",\"mvcc\":{";
   AppendBoolField(out, "enabled", s.mvcc_enabled(), /*first=*/true);
-  if (const SnapshotStore* store = s.directory().snapshot_store()) {
+  if (store != nullptr) {
     AppendU64Field(out, "publishes", store->publishes());
     AppendU64Field(out, "reclaim_lag", store->reclaim_lag());
-    AppendU64Field(out, "live_readers", store->epochs().live_readers());
-    if (PinnedSnapshot snap = s.PinSnapshot()) {
+    AppendU64Field(out, "live_readers", live_readers);
+    if (snap) {
       AppendU64Field(out, "version", snap->version);
       AppendU64Field(out, "num_alive", snap->num_alive);
     }

@@ -97,19 +97,6 @@ TEST(EntrySetTest, InsertEraseOutOfRangeIgnored) {
   EXPECT_TRUE(empty.Empty());
 }
 
-TEST(EntrySetTest, CountUpTo) {
-  EntrySet set(256);
-  for (EntryId id : {0u, 63u, 64u, 127u, 128u, 200u}) set.Insert(id);
-  EXPECT_EQ(set.CountUpTo(0), 0u);
-  EXPECT_EQ(set.CountUpTo(1), 1u);
-  EXPECT_EQ(set.CountUpTo(3), 3u);
-  EXPECT_EQ(set.CountUpTo(6), 6u);
-  EXPECT_EQ(set.CountUpTo(7), 6u);     // fewer members than the cap
-  EXPECT_EQ(set.CountUpTo(1000), 6u);  // equals Count() when k >= Count()
-  EntrySet none(256);
-  EXPECT_EQ(none.CountUpTo(5), 0u);
-}
-
 TEST(EntrySetTest, Intersects) {
   EntrySet a(256), b(256);
   EXPECT_FALSE(a.Intersects(b));
@@ -140,35 +127,6 @@ TEST(EntrySetTest, IsSubsetOf) {
   a.Insert(128);  // word 2, absent from b
   EXPECT_FALSE(a.IsSubsetOf(b));
   EXPECT_TRUE(a.IsSubsetOf(a));
-}
-
-TEST(EntrySetTest, AnyInRangeWordBoundaries) {
-  EntrySet set(256);
-  set.Insert(63);
-  set.Insert(64);
-  set.Insert(127);
-  // Single-word ranges around each boundary bit.
-  EXPECT_TRUE(set.AnyInRange(63, 64));
-  EXPECT_FALSE(set.AnyInRange(62, 63));
-  EXPECT_TRUE(set.AnyInRange(64, 65));
-  EXPECT_FALSE(set.AnyInRange(65, 127));
-  EXPECT_TRUE(set.AnyInRange(65, 128));
-  // Ranges spanning the 63/64 word boundary.
-  EXPECT_TRUE(set.AnyInRange(0, 256));
-  EXPECT_TRUE(set.AnyInRange(63, 65));
-  EXPECT_FALSE(set.AnyInRange(128, 256));
-  // Degenerate and clamped ranges.
-  EXPECT_FALSE(set.AnyInRange(64, 64));
-  EXPECT_FALSE(set.AnyInRange(200, 100));
-  EXPECT_TRUE(set.AnyInRange(127, 10000));  // hi clamps to capacity
-  EXPECT_FALSE(set.AnyInRange(300, 400));   // entirely past capacity
-  // A member strictly inside an interior word of a wide range.
-  EntrySet mid(256);
-  mid.Insert(100);
-  EXPECT_TRUE(mid.AnyInRange(0, 256));
-  EXPECT_TRUE(mid.AnyInRange(64, 128));
-  EXPECT_FALSE(mid.AnyInRange(0, 100));
-  EXPECT_TRUE(mid.AnyInRange(100, 101));
 }
 
 TEST(EntrySetTest, ForEachWhile) {

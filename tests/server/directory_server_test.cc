@@ -102,6 +102,41 @@ TEST_F(DirectoryServerTest, SchemaGuardsAdd) {
   EXPECT_TRUE(server_.IsLegal());
 }
 
+TEST_F(DirectoryServerTest, UnknownNamesAreRefusedWithoutInterning) {
+  // Adds naming classes or attributes the schema never declared are
+  // illegal; the write path refuses them by name and leaves the shared
+  // vocabulary as it was.
+  const size_t classes = server_.vocab().num_classes();
+  const size_t attributes = server_.vocab().num_attributes();
+  for (int i = 0; i < 1000; ++i) {
+    const std::string n = std::to_string(i);
+    EntrySpec spec = PersonSpec("fresh" + n);
+    switch (i % 3) {
+      case 0:
+        spec.classes.push_back("newClass" + n);
+        break;
+      case 1:
+        spec.values.emplace_back("newAttr" + n, "v");
+        break;
+      default:
+        spec.values.emplace_back("objectClass", "viaValue" + n);
+        break;
+    }
+    Status status = server_.Add(Dn("uid=fresh" + n + ",ou=research"), spec);
+    ASSERT_EQ(status.code(), StatusCode::kIllegal) << status.ToString();
+    const std::string name = i % 3 == 0   ? "newClass" + n
+                             : i % 3 == 1 ? "newAttr" + n
+                                          : "viaValue" + n;
+    EXPECT_NE(status.message().find("'" + name + "'"), std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(server_.vocab().num_classes(), classes);
+  EXPECT_EQ(server_.vocab().num_attributes(), attributes);
+  EXPECT_EQ(server_.stats().rejected, 1000u);
+  EXPECT_EQ(server_.directory().NumEntries(), 2u);
+  EXPECT_TRUE(server_.IsLegal());
+}
+
 TEST_F(DirectoryServerTest, DeleteGuarded) {
   // Removing the only person violates team ->> person.
   Status status = server_.Delete(Dn("uid=ada,ou=research"));

@@ -122,5 +122,63 @@ TEST(MonitorConcurrencyTest, ScrapesRaceSearchesAndSlowOps) {
   (*monitor)->Stop();
 }
 
+// /statusz scraped while a writer commits adds: the entry count comes from
+// a pinned snapshot, never from the live directory the writer mutates, so
+// this must be data-race free, and every count a scrape reports lies
+// between the seed and the final population.
+TEST(MonitorConcurrencyTest, StatuszScrapesRaceCommittingWriter) {
+  auto server = DirectoryServer::Create(kSchema);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  server->EnableMvcc();
+  EntrySpec spec;
+  spec.classes = {"person", "top"};
+  spec.values = {{"name", "alice"}};
+  ASSERT_TRUE(server->Add(Dn("name=alice"), spec).ok());
+
+  auto monitor = MonitorServer::Start(&*server);
+  ASSERT_TRUE(monitor.ok()) << monitor.status().ToString();
+  uint16_t port = (*monitor)->port();
+
+  constexpr int kAdds = 200;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kAdds; ++i) {
+      EntrySpec person;
+      person.classes = {"person", "top"};
+      person.values = {{"name", "p" + std::to_string(i)}};
+      if (!server->Add(Dn("name=p" + std::to_string(i)), person).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+    writer_done.store(true);
+  });
+  std::vector<std::thread> scrapers;
+  for (int s = 0; s < 3; ++s) {
+    scrapers.emplace_back([&] {
+      for (int i = 0; i < 20 || !writer_done.load(); ++i) {
+        std::string response = HttpGet(port, "/statusz");
+        size_t at = response.find("\"entries\":");
+        if (response.find("HTTP/1.1 200 OK") == std::string::npos ||
+            at == std::string::npos) {
+          failures.fetch_add(1);
+          continue;
+        }
+        long entries = std::stol(response.substr(at + 10));
+        if (entries < 1 || entries > kAdds + 1) failures.fetch_add(1);
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : scrapers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  std::string statusz = HttpGet(port, "/statusz");
+  EXPECT_NE(statusz.find("\"entries\":" + std::to_string(kAdds + 1)),
+            std::string::npos)
+      << statusz;
+  (*monitor)->Stop();
+}
+
 }  // namespace
 }  // namespace ldapbound

@@ -356,6 +356,82 @@ TEST_F(NetServerConcurrencyTest, MixedOpsFromManyConnectionsStayConsistent) {
   EXPECT_TRUE(server_.IsLegal());
 }
 
+// Wire adds naming fresh classes and attributes race wire searches that
+// resolve names through the shared Vocabulary. The write path resolves
+// names without interning them, so this is data-race free; every such add
+// is refused as illegal and the vocabulary does not grow.
+TEST_F(NetServerConcurrencyTest, UnknownNameAddsRaceSearches) {
+  StartNet();
+  const size_t classes = server_.vocab().num_classes();
+  const size_t attributes = server_.vocab().num_attributes();
+  std::atomic<bool> writers_done{false};
+  std::atomic<int> failures{0};
+
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      int fd = Connect(net_->port());
+      if (fd < 0) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string buffer;
+      WireResponse response;
+      const char* kFilters[] = {"(objectClass=person)", "(objectClass=w0c1)",
+                                "(w1a2=v)", "(uid=u3)"};
+      for (uint64_t id = 1; id <= 20 || !writers_done.load(); ++id) {
+        if (!SendAll(fd, EncodeSearchRequest(id, "ou=load", 2,
+                                             kFilters[(id + r) % 4])) ||
+            !ReadResponse(fd, buffer, &response) || !response.ok()) {
+          failures.fetch_add(1);
+          break;
+        }
+      }
+      ::close(fd);
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      int fd = Connect(net_->port());
+      if (fd < 0) {
+        failures.fetch_add(1);
+        return;
+      }
+      std::string buffer;
+      WireResponse response;
+      for (int i = 0; i < 50; ++i) {
+        std::string tag = "w" + std::to_string(w);
+        std::string uid = tag + "n" + std::to_string(i);
+        std::vector<std::string> classes = {"top", "person"};
+        std::vector<std::pair<std::string, std::string>> values = {
+            {"uid", uid}, {"name", uid}};
+        if (i % 2 == 0) {
+          classes.push_back(tag + "c" + std::to_string(i));
+        } else {
+          values.emplace_back(tag + "a" + std::to_string(i), "v");
+        }
+        if (!SendAll(fd, EncodeAddRequest(i, "uid=" + uid + ",ou=load",
+                                          classes, values)) ||
+            !ReadResponse(fd, buffer, &response) ||
+            response.code != WireCode::kIllegal) {
+          failures.fetch_add(1);
+          break;
+        }
+      }
+      ::close(fd);
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  writers_done.store(true);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server_.vocab().num_classes(), classes);
+  EXPECT_EQ(server_.vocab().num_attributes(), attributes);
+  EXPECT_EQ(server_.directory().NumEntries(), 9u);  // seed only
+}
+
 // Snapshot-pinned paged scans racing group-commit writers on a
 // two-reactor front end: every scan must observe one consistent
 // snapshot — all eight seed persons exactly once, no duplicate or torn

@@ -37,8 +37,9 @@ TEST_F(MoveTest, BasicMove) {
   EXPECT_EQ(d_.entry(bob_).parent(), eng_);
   EXPECT_TRUE(d_.entry(hr_).children().empty());
   EXPECT_EQ(d_.entry(eng_).children(), std::vector<EntryId>{bob_});
-  EXPECT_EQ(d_.GetIndex().preorder(),
+  EXPECT_EQ(d_.SubtreeEntries(acme_),
             (std::vector<EntryId>{acme_, hr_, eng_, bob_}));
+  EXPECT_TRUE(d_.GetIndex().EquivalentToFresh(d_));
 }
 
 TEST_F(MoveTest, MoveToRootAndBack) {

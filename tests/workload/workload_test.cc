@@ -64,7 +64,7 @@ TEST(RandomForestTest, RespectsOptions) {
   });
   // Deterministic per seed.
   Directory d2 = MakeRandomForest(vocab, palette, options);
-  EXPECT_EQ(d2.GetIndex().preorder(), d.GetIndex().preorder());
+  EXPECT_EQ(d2.PreorderEntries(), d.PreorderEntries());
 }
 
 TEST(RandomSchemaTest, ProducesWellFormedSchemas) {
